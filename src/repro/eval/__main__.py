@@ -8,6 +8,6 @@ if len(sys.argv) > 1 and sys.argv[1] == "serve":
 
     raise SystemExit(serve_main(sys.argv[2:]))
 
-from repro.eval.runner import main
+from repro.eval.runner import run_cli
 
-raise SystemExit(main())
+raise SystemExit(run_cli())

@@ -64,6 +64,7 @@ try:
 except ImportError:  # platform without shm support: pipe fallback only
     shared_memory = None  # type: ignore[assignment]
 
+from repro.errors import ReproError
 from repro.eval.record import Recording
 from repro.eval.trace_store import (
     raw_from_wire,
@@ -327,6 +328,11 @@ def _worker_main(conn) -> None:
             reply = ("ok", fn(item))
         except KeyboardInterrupt:
             break
+        except ReproError as exc:
+            # A library error (an invalid configuration, a scale too
+            # small for a workload) reaches the parent as itself, just
+            # as an inline run raises it.
+            reply = ("err", exc)
         except BaseException:
             reply = ("err", f"{spec}: {traceback.format_exc()}")
         try:
@@ -664,8 +670,12 @@ class WorkerPool:
                             if failure is None:
                                 on_result(*message[1])
                         elif failure is None:
-                            failure = RuntimeError(
-                                f"pool worker failed: {message[1]}"
+                            failure = (
+                                message[1]
+                                if isinstance(message[1], ReproError)
+                                else RuntimeError(
+                                    f"pool worker failed: {message[1]}"
+                                )
                             )
                 elif (worker.process.sentinel in ready
                       and not worker.process.is_alive()

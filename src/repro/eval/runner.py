@@ -27,6 +27,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.errors import ReproError
 from repro.eval.cache import ResultCache, default_cache_dir
 from repro.eval.charts import render_averages
 from repro.eval.client import EvalClient, parse_address
@@ -301,5 +302,18 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run_cli(argv: list[str] | None = None) -> int:
+    """``python -m repro.eval``: :func:`main`, with a library error
+    (a scale too small to clear a workload's initialization phase, an
+    invalid configuration) reported as one ``error:`` line and exit
+    status 2 — the status argparse gives bad arguments — instead of a
+    traceback."""
+    try:
+        return main(argv)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run_cli())

@@ -16,60 +16,90 @@ wins if the per-lane work sheds those frames instead of adding handler
 calls of its own.  This module therefore *generates* the batch loop:
 :func:`_compile` renders one specialized function per batch shape (the
 ``namedtuple``/``dataclasses`` technique), with every lane's event arms
-unrolled inline, counters in flat locals, geometry constants (``ways``,
-set count, XOM id) baked in as literals, and — when the stream contains
-no context switches — the ``(line, xom)`` key tuple built once per
-event and shared by every lane.  Each lane gets the deepest arm its
-configuration supports:
+unrolled inline, counters in flat locals and geometry constants
+(``ways``, set count, XOM id) baked in as literals.  Each lane gets the
+cheapest tier its configuration and the stream allow, chosen from what
+the pass observes — the stream's event kinds and writeback owners, each
+sim's core, callbacks and SNC — never from a knob:
 
-* **deep** — the base :class:`~repro.secure.snc_policy.SNCPolicyCore`
-  hooks over an LRU SNC with the timing simulator's standard
-  fetch/spill callbacks: both the ``snc.query`` / ``snc.update`` hit
-  paths *and* the miss arms (table fetch, insert, LRU eviction, victim
-  spill) run as inline ``OrderedDict`` / ``dict`` calls, zero frames.
-* **fast** — base ``read``/``write`` but a variant hook, a
-  no-replacement SNC, or nonstandard callbacks: the hit paths inline,
-  the ``_read_query_miss`` / ``_write_update_hit`` /
-  ``_write_update_miss`` hooks dispatch virtually, exactly like the
-  reference loop.
+* **counts-only** — base :class:`~repro.secure.snc_policy.SNCPolicyCore`
+  hooks over an LRU SNC (with the sim's own fetch/spill callbacks) or a
+  no-replacement SNC, starting empty, on a stream with no context switch
+  whose every writeback belongs to the lane's XOM id.  There no count
+  depends on a sequence-number *value* — hit or miss, set fullness and
+  the event kind fix them all — so the lane keeps only residency keyed
+  by the ``line`` int (an ``OrderedDict`` of ``None`` per LRU set, a
+  ``set`` per no-replacement set plus a local direct-line set) and
+  tallies misses per kind, evictions, direct reads and rejects, with a
+  snapshot at the warmup reset.  :func:`_flush_counts` derives every
+  ``SNCEventCounts`` and ``snc.stats`` field from those tallies plus
+  the per-kind event totals before and after the last reset.
+* **deep** — base-hook LRU lanes where values are observable (switch
+  streams, whose FLUSH ``drop_task`` and ``_write_detached`` read the
+  real SNC and table, or foreign-owner writebacks): Algorithm 1's hit
+  and miss arms (table fetch, insert, LRU eviction, victim spill) run
+  as inline ``OrderedDict`` / ``dict`` calls on the real state.
+* **fast** — base ``read``/``write`` but a variant hook, nonstandard
+  callbacks, or a no-replacement lane outside the counts-only rule: the
+  hit paths inline, the ``_read_query_miss`` / ``_write_update_hit`` /
+  ``_write_update_miss`` hooks dispatch virtually, like the reference.
 * **generic** — a core overriding ``read``/``write`` themselves falls
   back to the fully generic calls.
 
 Count-identical to running :meth:`replay_events` per sim by
 construction: sims never interact, each sees the identical event
-sequence in order, and every generated arm mirrors the reference
-loop's — the same descheduled-owner writeback routing, the same
-warmup-boundary reset (classification and traffic counters zeroed, SNC
-lifetime stats and warm state kept).  The inlined hit/miss tallies are
-accumulated in locals and flushed into ``sim.counts`` / ``snc.stats``
-afterwards.  ``tests/eval/test_replay_differential.py`` pins the
-equality; ``benchmarks/bench_trace_throughput.py`` tracks the speedup.
+sequence in order, and every arm mirrors the reference loop's — the
+same descheduled-owner writeback routing, the same warmup-boundary
+reset (classification and traffic counters zeroed, SNC lifetime stats
+and warm state kept).  A counts-only lane's ``sim.counts`` and
+``snc.stats`` are exact, but its SNC contents, spill table and fallback
+state are *not* maintained after the pass (the SNC stays as it started,
+empty).  No caller reads them: a replay builds fresh sims and
+:meth:`~repro.eval.record.Recording.replay_batch` assembles results
+from ``sim.counts`` alone.  ``tests/eval/test_replay_differential.py``
+and ``tests/timing/test_batch_counts.py`` pin the equality;
+``benchmarks/bench_trace_throughput.py`` tracks the speedup.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Sequence
+from itertools import compress
+from typing import NamedTuple
 
 from repro.secure.snc import SNCPolicy
 from repro.secure.snc_policy import ReadClass, SNCPolicyCore, WriteClass
 from repro.timing.model import (
     EVENT_ALLOC,
     EVENT_READ,
+    EVENT_RESET,
     EVENT_SWITCH,
     EVENT_WRITEBACK,
     SNCTimingSim,
 )
 
-#: Per-lane counter locals, in flush order (see :func:`_flush`).  The
-#: first block mirrors the reference loop's locals and the traffic
-#: counts its callbacks bump; the second is the SNC stat increments the
-#: inlined paths bypass.
+#: Per-lane counter locals of the deep/fast/generic arms, in flush
+#: order (see :func:`_flush`).  The first block mirrors the reference
+#: loop's locals and the traffic counts its callbacks bump; the second
+#: is the SNC stat increments the inlined paths bypass.
 _COUNTERS = ("o", "sm", "dr", "al", "uh", "um", "rj", "tf", "tp",
-             "qh", "qm", "sh", "su", "ins", "ev", "rjs")
+             "qh", "qm", "sh", "su", "ins", "ev")
 #: The subset zeroed at the warmup boundary (the counts-backed ones;
 #: SNC stats are lifetime values the reference never resets).
 _RESET_COUNTERS = ("o", "sm", "dr", "al", "uh", "um", "rj", "tf", "tp")
+#: The tallies a counts-only lane keeps, per tier: misses per event
+#: kind (read, allocate, writeback), then evictions (LRU) or direct
+#: reads and rejects (no-replacement).  :func:`_flush_counts` derives
+#: everything else.
+_LEAN_COUNTERS = {
+    "lru": ("mr", "ma", "mw", "ev"),
+    "norepl": ("mr", "ma", "mw", "dr", "rj"),
+}
+
+#: ``bytes.translate`` table turning the kinds column into a writeback
+#: selector (1 where the event is a writeback, else 0).
+_WRITEBACK_MASK = bytes(kind == EVENT_WRITEBACK for kind in range(256))
 
 #: Compiled batch functions keyed by ``(lane shapes, n_models,
 #: has_switch)``.  The key depends only on lane *shapes*, so every
@@ -92,13 +122,26 @@ def compiled_batch_info() -> tuple[int, int, int]:
     return len(_COMPILED), _compiled_hits, _compiled_misses
 
 
-def _lane_shape(sim: SNCTimingSim, has_switch: bool) -> tuple:
-    """The source-shaping parameters of one sim's generated arms:
-    ``(deep, deep_nr, fast_read, fast_write, base_write_hit, n_sets,
-    ways, xom_id)``."""
+class _Shape(NamedTuple):
+    """The source-shaping parameters of one lane's generated arms."""
+
+    tier: str  # "lru" / "norepl" (counts-only), "deep" or "hooks"
+    fast_read: bool
+    fast_write: bool
+    base_write_hit: bool
+    n_sets: int
+    ways: int
+    xom: int
+
+
+def _lane_shape(sim: SNCTimingSim, has_switch: bool,
+                owners: set[int]) -> _Shape:
+    """Pick one sim's tier; ``owners`` holds the stream's writeback
+    owners."""
     core = sim.core
     core_cls = type(core)
     snc = sim.snc
+    policy = snc.config.policy
     fast_read = core_cls.read is SNCPolicyCore.read
     fast_write = core_cls.write is SNCPolicyCore.write
     base_write_hit = (core_cls._write_update_hit
@@ -108,48 +151,121 @@ def _lane_shape(sim: SNCTimingSim, has_switch: bool) -> tuple:
         and core_cls._read_query_miss is SNCPolicyCore._read_query_miss
         and core_cls._write_update_miss is SNCPolicyCore._write_update_miss
     )
-    # The deep LRU tier additionally requires the timing sim's own
-    # fetch/spill callbacks — anything else keeps virtual dispatch.
+    # LRU lanes additionally require the timing sim's own fetch/spill
+    # callbacks — anything else keeps virtual dispatch.
     # ``_spill_entry`` is passed to cores unwrapped (one shared cycle-
     # free closure), so callback identity proves this core's installs
     # really land in ``sim._table`` with ``sim.counts`` doing the
     # counting.
-    deep = (
-        base_hooks
-        and snc.config.policy is SNCPolicy.LRU
-        and sim.tasks._fetch_entry == getattr(sim, "_fetch_entry", None)
+    own_callbacks = (
+        sim.tasks._fetch_entry == getattr(sim, "_fetch_entry", None)
         and core._spill_entry == getattr(sim, "_spill_entry", None)
     )
-    # The deep no-replacement tier never touches the spill table (the
-    # policy's whole point), but its per-line fallback state lives on
-    # the *core* — so it is only valid while no context switch can swap
-    # cores under the baked bindings.
-    deep_nr = (
-        base_hooks
-        and snc.config.policy is SNCPolicy.NO_REPLACEMENT
-        and not has_switch
-    )
-    return (deep, deep_nr, fast_read, fast_write, base_write_hit,
-            snc._n_sets, snc._ways, core.xom_id)
+    lru = policy is SNCPolicy.LRU
+    if (base_hooks and (own_callbacks or not lru) and not has_switch
+            and owners <= {core.xom_id} and not len(snc)):
+        tier = "lru" if lru else "norepl"
+    elif base_hooks and own_callbacks and lru:
+        tier = "deep"
+    else:
+        tier = "hooks"
+    return _Shape(tier, fast_read, fast_write, base_write_hit,
+                  snc._n_sets, snc._ways, core.xom_id)
 
 
-def _lane_binds(sim: SNCTimingSim, shape: tuple) -> tuple:
-    """The runtime objects the generated preamble unpacks for one lane."""
-    deep, deep_nr = shape[0], shape[1]
+def _lane_binds(sim: SNCTimingSim, shape: _Shape) -> tuple:
+    """The runtime objects the generated preamble unpacks for one lane
+    (see :func:`_unpack`)."""
+    if shape.tier == "lru":
+        sets = [OrderedDict() for _ in range(shape.n_sets)]
+        entries = sets[0]
+        return entries, entries.move_to_end, entries.popitem, sets
+    if shape.tier == "norepl":
+        sets = [set() for _ in range(shape.n_sets)]
+        return sets[0], sets, set(sim.core.direct_lines)
     snc = sim.snc
     entries = snc._sets[0]
     core = sim.core
+    deep = shape.tier == "deep"
     return (
         entries.get, entries.move_to_end, entries.__setitem__,
         entries.popitem, entries, snc._sets,
         sim._table.get if deep else None,
         sim._table.__setitem__ if deep else None,
-        core.direct_lines if deep_nr else None,
-        core.fallback_seq if deep_nr else None,
         core.read, core.write, core._read_query_miss,
         core._write_update_hit, core._write_update_miss,
         sim.tasks, sim.counts,
     )
+
+
+def _unpack(i: int, shape: _Shape) -> str:
+    """The preamble line unpacking lane ``i``'s binds."""
+    if shape.tier == "lru":
+        names = ("e", "m", "p", "st")
+    elif shape.tier == "norepl":
+        names = ("e", "st", "dl")
+    else:
+        names = ("g", "m", "s", "p", "e", "st", "tg", "ts", "cr", "cw",
+                 "rq", "wh", "wm", "tk", "cn")
+    return ", ".join(f"{name}{i}" for name in names) + f" = lanes[{i}]"
+
+
+def _counters(shape: _Shape) -> tuple[str, ...]:
+    return _LEAN_COUNTERS.get(shape.tier, _COUNTERS)
+
+
+# ------------------------------------------------------- counts-only arms
+
+
+def _lean_arm(i: int, shape: _Shape, kind: int) -> list[str]:
+    """One event kind's arm for a counts-only lane: residency by line,
+    misses tallied per kind."""
+    n_sets, ways = shape.n_sets, shape.ways
+    miss = {EVENT_READ: "mr", EVENT_ALLOC: "ma", EVENT_WRITEBACK: "mw"}
+    tally = f"{miss[kind]}{i} += 1"
+    if n_sets == 1:
+        pick, entries = [], f"e{i}"
+    else:
+        pick, entries = [f"E = st{i}[line % {n_sets}]"], "E"
+    if shape.tier == "lru":
+        mte = f"m{i}" if n_sets == 1 else "E.move_to_end"
+        pop = f"p{i}" if n_sets == 1 else "E.popitem"
+        # Hit: refresh recency.  Miss: Algorithm 1's fetch-and-install,
+        # evicting the LRU line when the set is full.
+        return pick + [
+            f"if line in {entries}: {mte}(line)",
+            "else:",
+            f"    {tally}",
+            f"    if len({entries}) >= {ways}:",
+            f"        {pop}(False)",
+            f"        ev{i} += 1",
+            f"    {entries}[line] = None",
+        ]
+    if kind == EVENT_READ:
+        # A query miss is a direct read for a line that fell back to
+        # direct encryption, an overlapped version-0 read otherwise.
+        return pick + [
+            f"if line not in {entries}:",
+            f"    {tally}",
+            f"    if line in dl{i}: dr{i} += 1",
+        ]
+    if kind == EVENT_ALLOC:
+        return pick + [f"if line not in {entries}: {tally}"]
+    # Update miss: a full set rejects the line to direct encryption,
+    # otherwise the line is admitted.
+    return pick + [
+        f"if line not in {entries}:",
+        f"    {tally}",
+        f"    if len({entries}) >= {ways}:",
+        f"        rj{i} += 1",
+        f"        dl{i}.add(line)",
+        "    else:",
+        f"        {entries}.add(line)",
+        f"        dl{i}.discard(line)",
+    ]
+
+
+# ---------------------------------------------- value-faithful arms
 
 
 def _dict_ops(i: int, n_sets: int) -> tuple[list[str], str, str, str,
@@ -180,16 +296,16 @@ def _install_lines(i: int, size: str, pop: str, seti: str, key: str,
     ]
 
 
-def _read_arm(i: int, shape: tuple, key: str, xom: str) -> list[str]:
-    deep, deep_nr, fast_read, _, _, n_sets, ways, _ = shape
-    if not fast_read:
+def _read_arm(i: int, shape: _Shape) -> list[str]:
+    key, xom = f"key{i}", f"x{i}"
+    if not shape.fast_read:
         return [
             f"k = cr{i}(line)[0]",
             f"if k is OV: o{i} += 1",
             f"elif k is SQ: sm{i} += 1",
             f"else: dr{i} += 1",
         ]
-    pick, get, mte, seti, pop, size = _dict_ops(i, n_sets)
+    pick, get, mte, seti, pop, size = _dict_ops(i, shape.n_sets)
     hit = pick + [
         f"if {get}({key}) is not None:",
         f"    qh{i} += 1",
@@ -198,15 +314,7 @@ def _read_arm(i: int, shape: tuple, key: str, xom: str) -> list[str]:
         "else:",
         f"    qm{i} += 1",
     ]
-    if deep_nr:
-        # No-replacement query miss: a line that fell back to direct
-        # encryption takes the XOM serial path, anything else is an
-        # untouched vendor-image line read with the version-0 pad.
-        return hit + [
-            f"    if line in dl{i}: dr{i} += 1",
-            f"    else: o{i} += 1",
-        ]
-    if not deep:
+    if shape.tier != "deep":
         return hit + [
             f"    k = rq{i}(line)[0]",
             f"    if k is OV: o{i} += 1",
@@ -219,16 +327,16 @@ def _read_arm(i: int, shape: tuple, key: str, xom: str) -> list[str]:
         f"    tf{i} += 1",
         f"    seq = tg{i}(({xom}, line), 0)",
     ] + ["    " + ln
-         for ln in _install_lines(i, size, pop, seti, key, ways)] + [
+         for ln in _install_lines(i, size, pop, seti, key, shape.ways)] + [
         f"    sm{i} += 1",
     ]
 
 
-def _alloc_arm(i: int, shape: tuple, key: str, xom: str) -> list[str]:
-    deep, deep_nr, fast_read, _, _, n_sets, ways, _ = shape
-    if not fast_read:
+def _alloc_arm(i: int, shape: _Shape) -> list[str]:
+    key, xom = f"key{i}", f"x{i}"
+    if not shape.fast_read:
         return [f"al{i} += 1", f"cr{i}(line)"]
-    pick, get, mte, seti, pop, size = _dict_ops(i, n_sets)
+    pick, get, mte, seti, pop, size = _dict_ops(i, shape.n_sets)
     hit = [f"al{i} += 1"] + pick + [
         f"if {get}({key}) is not None:",
         f"    qh{i} += 1",
@@ -236,21 +344,17 @@ def _alloc_arm(i: int, shape: tuple, key: str, xom: str) -> list[str]:
         "else:",
         f"    qm{i} += 1",
     ]
-    if deep_nr:
-        # The no-replacement query-miss arm classifies without state
-        # effects, and an allocate discards the classification.
-        return hit
-    if not deep:
+    if shape.tier != "deep":
         return hit + [f"    rq{i}(line)"]
     return hit + [
         f"    tf{i} += 1",
         f"    seq = tg{i}(({xom}, line), 0)",
     ] + ["    " + ln
-         for ln in _install_lines(i, size, pop, seti, key, ways)]
+         for ln in _install_lines(i, size, pop, seti, key, shape.ways)]
 
 
-def _write_arm(i: int, shape: tuple, key: str, xom: str) -> list[str]:
-    deep, deep_nr, _, fast_write, base_write_hit, n_sets, ways, _ = shape
+def _write_arm(i: int, shape: _Shape) -> list[str]:
+    key, xom = f"key{i}", f"x{i}"
     classify = [
         f"if k is UH: uh{i} += 1",
         "else:",
@@ -263,12 +367,12 @@ def _write_arm(i: int, shape: tuple, key: str, xom: str) -> list[str]:
         # exactly as the reference loop does.
         f"    k = tk{i}.core_for(owner).write_descheduled(line)[0]",
     ] + ["    " + ln for ln in classify]
-    if not fast_write:
+    if not shape.fast_write:
         return desched + [
             "else:",
             f"    k = cw{i}(line)[0]",
         ] + ["    " + ln for ln in classify]
-    pick, get, mte, seti, pop, size = _dict_ops(i, n_sets)
+    pick, get, mte, seti, pop, size = _dict_ops(i, shape.n_sets)
     body = desched + ["else:"] + ["    " + ln for ln in pick] + [
         f"    seq = {get}({key})",
         "    if seq is not None:",
@@ -277,7 +381,7 @@ def _write_arm(i: int, shape: tuple, key: str, xom: str) -> list[str]:
         f"        {seti}({key}, seq)",
         f"        {mte}({key})",
     ]
-    if base_write_hit:
+    if shape.base_write_hit:
         body += [f"        uh{i} += 1"]
     else:
         body += [
@@ -287,25 +391,7 @@ def _write_arm(i: int, shape: tuple, key: str, xom: str) -> list[str]:
         "    else:",
         f"        su{i} += 1",
     ]
-    if deep_nr:
-        # No-replacement update miss: a full set rejects the line to
-        # direct encryption; otherwise issue the next fallback sequence
-        # number (never reusing a pad) and admit the line.
-        return body + [
-            f"        if {size} >= {ways}:",
-            f"            rjs{i} += 1",
-            f"            dl{i}.add(line)",
-            f"            um{i} += 1",
-            f"            rj{i} += 1",
-            "        else:",
-            f"            seq = fb{i}.get(line, 0) + 1",
-            f"            fb{i}[line] = seq",
-            f"            {seti}({key}, seq)",
-            f"            ins{i} += 1",
-            f"            dl{i}.discard(line)",
-            f"            um{i} += 1",
-        ]
-    if not deep:
+    if shape.tier != "deep":
         return body + [
             f"        k = wm{i}(line)[0]",
         ] + ["        " + ln for ln in classify]
@@ -314,78 +400,59 @@ def _write_arm(i: int, shape: tuple, key: str, xom: str) -> list[str]:
         f"        tf{i} += 1",
         f"        seq = tg{i}(({xom}, line), 0) + 1",
     ] + ["        " + ln
-         for ln in _install_lines(i, size, pop, seti, key, ways)] + [
+         for ln in _install_lines(i, size, pop, seti, key, shape.ways)] + [
         f"        um{i} += 1",
     ]
 
 
-def _build_source(shapes: Sequence[tuple], n_models: int,
+def _build_source(shapes: Sequence[_Shape], n_models: int,
                   has_switch: bool) -> str:
     """Render the specialized batch function for one batch shape."""
-    n = len(shapes)
-    lanes = range(n)
-    # Without switches every lane's xom is a compile-time constant;
-    # when they all agree, one (line, xom) key per event serves every
-    # lane.  With switches the xom is a rebindable local and keys are
-    # built per lane (scenario streams — rare next to sweep traffic).
-    shared_key = (not has_switch and n > 0
-                  and len({shape[7] for shape in shapes}) == 1)
-    if has_switch:
-        xoms = {i: f"x{i}" for i in lanes}
-        keys = {i: f"key{i}" for i in lanes}
-    else:
-        xoms = {i: str(shapes[i][7]) for i in lanes}
-        keys = {i: ("key" if shared_key
-                    else f"(line, {shapes[i][7]})") for i in lanes}
-
+    lean = {i for i, shape in enumerate(shapes)
+            if shape.tier in _LEAN_COUNTERS}
+    keyed = [i for i in range(len(shapes)) if i not in lean]
     out = ["def _batch(kinds, lines, aux, lanes, models, OV, SQ, UH, RJ):"]
 
     def emit(depth, lns):
         out.extend("    " * depth + ln for ln in lns)
 
-    for i in lanes:
-        emit(1, [f"(g{i}, m{i}, s{i}, p{i}, e{i}, st{i}, tg{i}, ts{i}, "
-                 f"dl{i}, fb{i}, cr{i}, cw{i}, rq{i}, wh{i}, wm{i}, "
-                 f"tk{i}, cn{i}) = lanes[{i}]"])
-        emit(1, [" = ".join(f"{name}{i}" for name in _COUNTERS) + " = 0"])
-        if has_switch:
-            emit(1, [f"x{i} = {shapes[i][7]}"])
+    for i, shape in enumerate(shapes):
+        emit(1, [_unpack(i, shape),
+                 " = ".join(f"{name}{i}" for name in _counters(shape))
+                 + " = 0"])
+        # A keyed lane holds its scheduled xom in a local (rebound at
+        # each switch) and builds its own (line, xom) key per event.
+        emit(1, [f"b{i} = None" if i in lean else f"x{i} = {shape.xom}"])
     for j in range(n_models):
         emit(1, [f"v{j} = models[{j}].verify",
                  f"w{j} = models[{j}].update"])
 
-    def emit_keys(needs: int) -> None:
-        """Per-lane key assignments for the switch case; ``needs``
-        indexes the shape flag that says the arm uses the key."""
-        if shared_key:
-            emit(3, [f"key = (line, {shapes[0][7]})"])
-        elif has_switch:
-            for i in lanes:
-                if shapes[i][needs]:
-                    emit(3, [f"key{i} = (line, x{i})"])
+    def emit_arms(kind: int, arm, uses_key: str) -> None:
+        """Every lane's arm for one event kind; ``uses_key`` names the
+        shape flag that says a keyed lane's arm touches the entry
+        dict."""
+        emit(3, [f"key{i} = (line, x{i})" for i in keyed
+                 if getattr(shapes[i], uses_key)])
+        for i in range(len(shapes)):
+            emit(3, _lean_arm(i, shapes[i], kind) if i in lean
+                 else arm(i, shapes[i]))
 
     emit(1, ["for kind, line, owner in zip(kinds, lines, aux):"])
     emit(2, [f"if kind == {EVENT_READ}:"])
-    emit_keys(needs=2)  # fast_read arms touch the entry dict
-    for i in lanes:
-        emit(3, _read_arm(i, shapes[i], keys[i], xoms[i]))
+    emit_arms(EVENT_READ, _read_arm, "fast_read")
     for j in range(n_models):
         emit(3, [f"v{j}(line, critical=True)"])
     emit(2, [f"elif kind == {EVENT_WRITEBACK}:"])
-    emit_keys(needs=3)  # fast_write arms touch the entry dict
-    for i in lanes:
-        emit(3, _write_arm(i, shapes[i], keys[i], xoms[i]))
+    emit_arms(EVENT_WRITEBACK, _write_arm, "fast_write")
     for j in range(n_models):
         emit(3, [f"w{j}(line)"])
     emit(2, [f"elif kind == {EVENT_ALLOC}:"])
-    emit_keys(needs=2)
-    for i in lanes:
-        emit(3, _alloc_arm(i, shapes[i], keys[i], xoms[i]))
+    emit_arms(EVENT_ALLOC, _alloc_arm, "fast_read")
     for j in range(n_models):
         emit(3, [f"v{j}(line, critical=False)"])
     emit(2, [f"elif kind == {EVENT_SWITCH}:"])
-    if has_switch and n:
-        for i in lanes:
+    if has_switch and keyed:
+        for i in keyed:
             emit(3, [
                 f"spilled = tk{i}.switch_to(owner)",
                 f"cn{i}.switches += 1",
@@ -401,18 +468,28 @@ def _build_source(shapes: Sequence[tuple], n_models: int,
     else:
         emit(3, ["pass"])
     emit(2, ["else:"])  # EVENT_RESET: the warmup boundary
-    for i in lanes:
-        emit(3, [f"cn{i}.reset()",
-                 " = ".join(f"{name}{i}" for name in _RESET_COUNTERS)
-                 + " = 0"])
+    for i, shape in enumerate(shapes):
+        if i in lean:
+            # Counts-only lanes snapshot their tallies; the flush
+            # resets the counts and derives the post-boundary values.
+            emit(3, [f"b{i} = (" + ", ".join(
+                f"{name}{i}" for name in _counters(shape)) + ",)"])
+        else:
+            emit(3, [f"cn{i}.reset()",
+                     " = ".join(f"{name}{i}" for name in _RESET_COUNTERS)
+                     + " = 0"])
     for j in range(n_models):
         emit(3, [f"models[{j}].reset_counts()"])
-    if not lanes and not n_models:
+    if not shapes and not n_models:
         emit(3, ["pass"])
-    emit(1, ["return (" + ", ".join(
-        "(" + ", ".join(f"{name}{i}" for name in _COUNTERS) + ")"
-        for i in lanes
-    ) + ("," if n == 1 else "") + ")"])
+
+    def result(i: int) -> str:
+        tallies = "(" + ", ".join(
+            f"{name}{i}" for name in _counters(shapes[i])) + ",)"
+        return f"({tallies}, b{i})" if i in lean else tallies
+
+    emit(1, ["return (" + "".join(
+        result(i) + ", " for i in range(len(shapes))) + ")"])
     return "\n".join(out) + "\n"
 
 
@@ -435,7 +512,8 @@ def _compile(shapes: tuple, n_models: int, has_switch: bool):
 
 
 def _flush(sim: SNCTimingSim, c: tuple) -> None:
-    """Fold one lane's accumulated counters back into its sim."""
+    """Fold one deep/fast/generic lane's accumulated counters back into
+    its sim."""
     counts = sim.counts
     counts.overlapped_reads += c[0]
     counts.seqnum_miss_reads += c[1]
@@ -453,10 +531,67 @@ def _flush(sim: SNCTimingSim, c: tuple) -> None:
     stats.update_misses += c[12]
     stats.insertions += c[13]
     stats.evictions += c[14]
-    stats.rejected += c[15]
     # The reference loop tracks the scheduled core in a local and
     # writes it back; ``tasks.current`` is that same core.
     sim.core = sim.tasks.current
+
+
+def _kind_totals(kind_bytes: bytes) -> tuple[tuple[int, int, int],
+                                             tuple[int, int, int]]:
+    """``(read, allocate, writeback)`` event totals over the whole
+    stream and after its last warmup reset (the same when there is
+    none), counted by ``bytes.count`` over the u8 kinds column."""
+    def totals(column):
+        return (column.count(EVENT_READ), column.count(EVENT_ALLOC),
+                column.count(EVENT_WRITEBACK))
+
+    last_reset = kind_bytes.rfind(EVENT_RESET)
+    return totals(kind_bytes), totals(kind_bytes[last_reset + 1:])
+
+
+def _flush_counts(sim: SNCTimingSim, tier: str, tallies: tuple,
+                  at_reset: tuple | None, kind_totals: tuple) -> None:
+    """Derive every count of a counts-only lane from its tallies.
+
+    With no context switch and no foreign owner, each event is a hit or
+    a miss of its own kind and nothing else: a read hit is overlapped,
+    an LRU miss fetches and installs (one insertion, one table fetch),
+    a no-replacement read miss is direct exactly when the loop tallied
+    it so, and a no-replacement update miss either is rejected or
+    inserts.  ``at_reset`` is the tallies' snapshot at the last warmup
+    reset (``None`` without one): counts cover the events after it,
+    ``snc.stats`` the whole stream.
+    """
+    (reads, allocs, writes), (reads_after, allocs_after,
+                              writes_after) = kind_totals
+    counts = sim.counts
+    if at_reset is None:
+        at_reset = (0,) * len(tallies)
+    else:
+        counts.reset()
+    after = [total - base for total, base in zip(tallies, at_reset)]
+    read_misses, alloc_misses, write_misses = tallies[:3]
+    counts.allocate_queries += allocs_after
+    counts.update_hits += writes_after - after[2]
+    counts.update_misses += after[2]
+    stats = sim.snc.stats
+    stats.query_hits += reads + allocs - read_misses - alloc_misses
+    stats.query_misses += read_misses + alloc_misses
+    stats.update_hits += writes - write_misses
+    stats.update_misses += write_misses
+    if tier == "lru":
+        counts.overlapped_reads += reads_after - after[0]
+        counts.seqnum_miss_reads += after[0]
+        counts.table_fetches += after[0] + after[1] + after[2]
+        counts.table_spills += after[3]
+        stats.insertions += read_misses + alloc_misses + write_misses
+        stats.evictions += tallies[3]
+    else:
+        counts.overlapped_reads += reads_after - after[3]
+        counts.direct_reads += after[3]
+        counts.rejected_updates += after[4]
+        stats.insertions += write_misses - tallies[4]
+        stats.rejected += tallies[4]
 
 
 def replay_events_batch(sims: Sequence[SNCTimingSim],
@@ -468,11 +603,18 @@ def replay_events_batch(sims: Sequence[SNCTimingSim],
     :class:`~repro.eval.record.Recording`.  Scenario sims must have had
     :meth:`~repro.timing.model.SNCTimingSim.begin_task` called already
     (the caller owns flavor setup); this function only walks events.
+    Every sim's ``counts`` and ``snc.stats`` come out exact; a sim
+    priced counts-only (see the module docstring) keeps no SNC contents,
+    spill table or fallback state after the pass.
     """
     if not sims and not integrity_models:
         return
-    has_switch = EVENT_SWITCH in kinds
-    shapes = tuple(_lane_shape(sim, has_switch) for sim in sims)
+    kind_bytes = bytes(kinds)
+    if len(kind_bytes) != len(kinds):
+        raise ValueError("kinds must be a one-byte-per-event column")
+    has_switch = EVENT_SWITCH in kind_bytes
+    owners = set(compress(aux, kind_bytes.translate(_WRITEBACK_MASK)))
+    shapes = tuple(_lane_shape(sim, has_switch, owners) for sim in sims)
     fn = _compile(shapes, len(integrity_models), has_switch)
     results = fn(
         kinds, lines, aux,
@@ -481,5 +623,11 @@ def replay_events_batch(sims: Sequence[SNCTimingSim],
         ReadClass.OVERLAPPED, ReadClass.SEQNUM_MISS,
         WriteClass.UPDATE_HIT, WriteClass.REJECTED,
     )
-    for sim, lane_counts in zip(sims, results):
-        _flush(sim, lane_counts)
+    kind_totals = None
+    for sim, shape, lane in zip(sims, shapes, results):
+        if shape.tier in _LEAN_COUNTERS:
+            if kind_totals is None:
+                kind_totals = _kind_totals(kind_bytes)
+            _flush_counts(sim, shape.tier, *lane, kind_totals)
+        else:
+            _flush(sim, lane)

@@ -183,6 +183,17 @@ class TestWorkerDeathRecovery:
         assert all(worker.process.is_alive()
                    for worker in pool._workers)
 
+    def test_library_error_in_a_worker_arrives_typed(self):
+        """A task raising a :class:`~repro.errors.ReproError` (here: a
+        scale too small to clear any initialization phase) fails the
+        run with that error, exactly as an inline run does — not as a
+        wrapped traceback string."""
+        from repro.errors import ConfigurationError
+        tasks = merge_jobs(_jobs(scale=SimulationScale(0, 0)))
+        with pytest.raises(ConfigurationError, match="initialization"):
+            run_tasks(tasks, n_jobs=2, backend="replay",
+                      pool="persistent")
+
 
 @pytest.mark.skipif(shared_memory is None,
                     reason="platform lacks multiprocessing.shared_memory")

@@ -6,7 +6,7 @@ from repro.eval.charts import render_averages, render_chart
 from repro.eval.experiments import figure5, run_all_benchmarks
 from repro.eval.jobs import standard_snc_specs
 from repro.eval.pipeline import SimulationScale
-from repro.eval.runner import build_parser, main, parse_scale
+from repro.eval.runner import build_parser, main, parse_scale, run_cli
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +87,39 @@ class TestMain:
         from repro.errors import ConfigurationError
         with pytest.raises(ConfigurationError, match="initialization"):
             main(["--figures", "3", "--scale", "2000:2000", "--no-cache"])
+
+    @pytest.mark.parametrize("scale", ["0:0", "10:0", "100:200"])
+    def test_library_error_is_one_line_exit_2(self, scale, capsys):
+        """A scale too small for any workload's initialization phase
+        ends the CLI with one ``error:`` line and status 2."""
+        code = run_cli(["--figures", "3", "--scale", scale,
+                        "--no-cache", "--no-trace-cache"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: ")
+        assert "initialization" in err[-1]
+
+    def test_module_entry_point_maps_library_errors(self, tmp_path):
+        """``python -m repro.eval`` itself goes through the mapping."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.eval", "--figures", "3",
+             "--scale", "0:0", "--no-cache", "--no-trace-cache"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+            timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr.splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in done.stderr
 
     def test_rejects_bad_jobs(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
